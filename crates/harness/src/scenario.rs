@@ -8,24 +8,10 @@ use leopard_core::{config::WorkloadMode, LeopardConfig, LeopardReplica};
 use leopard_crypto::provider::CryptoMode;
 use leopard_hotstuff::{HotStuffConfig, HotStuffReplica};
 use leopard_simnet::{
-    ExecutionMode, FaultPlan, NetworkConfig, ObservationKind, ProgressProbe, SimDuration, SimTime,
+    FaultPlan, NetworkConfig, ObservationKind, ProgressProbe, SimDuration, SimTime,
     Simulation, SimulationReport, StragglerProfile, Topology,
 };
 use leopard_types::{CostModelKind, NodeId, ProtocolParams};
-use std::sync::atomic::{AtomicBool, Ordering};
-
-/// Process-wide default for [`ScenarioConfig::parallel`], set by the experiments
-/// binary's `--parallel` flag. The engines are bit-identical, so flipping this can
-/// never change a result — only the wall clock.
-static DEFAULT_PARALLEL: AtomicBool = AtomicBool::new(false);
-
-/// Makes every subsequently constructed [`ScenarioConfig`] default to the parallel
-/// engine ([`leopard_simnet::ExecutionMode::Parallel`], threads auto-sized). The
-/// opt-in behind the experiments binary's `--parallel` flag; individual scenarios can
-/// still override with [`ScenarioConfig::with_parallel`].
-pub fn set_default_parallel(parallel: bool) {
-    DEFAULT_PARALLEL.store(parallel, Ordering::Relaxed);
-}
 
 /// Description of one experiment run.
 #[derive(Debug, Clone)]
@@ -110,11 +96,6 @@ pub struct ScenarioConfig {
     /// [`Self::duration`] (see [`Self::with_workload_stop`]); `None` offers load for
     /// the whole run.
     pub workload_stop: Option<SimDuration>,
-    /// Executes same-instant event batches on worker threads
-    /// ([`leopard_simnet::ExecutionMode::Parallel`]). Bit-identical to the default
-    /// sequential engine by construction — `tests/engine_equivalence.rs` guards it —
-    /// so this is purely a wall-clock knob for large-`n` sweeps.
-    pub parallel: bool,
     /// Number of concurrent BFTblock proposers (the PR 9 multi-proposer agreement
     /// plane). `1` is the classic single-leader protocol, bit for bit.
     pub proposers: usize,
@@ -158,7 +139,6 @@ impl ScenarioConfig {
             view_thrash_bound: None,
             progress_timeout: None,
             workload_stop: None,
-            parallel: DEFAULT_PARALLEL.load(Ordering::Relaxed),
             proposers: 1,
             cores: 1,
         }
@@ -193,7 +173,6 @@ impl ScenarioConfig {
             view_thrash_bound: None,
             progress_timeout: None,
             workload_stop: None,
-            parallel: DEFAULT_PARALLEL.load(Ordering::Relaxed),
             proposers: 1,
             cores: 1,
         }
@@ -329,14 +308,6 @@ impl ScenarioConfig {
         self
     }
 
-    /// Runs the simulation's same-instant event batches on worker threads (thread
-    /// count auto-sized to the machine). The schedule, metrics and RNG draws stay
-    /// bit-identical to the sequential engine.
-    pub fn with_parallel(mut self, parallel: bool) -> Self {
-        self.parallel = parallel;
-        self
-    }
-
     /// Overrides the event budget (the runaway-configuration safety valve). The
     /// `fig9xl` sweep raises it: at n = 4000 a single dissemination wave alone is
     /// tens of millions of events, comfortably past the default 50 M cap.
@@ -353,15 +324,6 @@ impl ScenarioConfig {
     pub fn with_workload_stop(mut self, stop: SimDuration) -> Self {
         self.workload_stop = Some(stop);
         self
-    }
-
-    /// The execution mode the runners hand to the simulator.
-    fn execution_mode(&self) -> ExecutionMode {
-        if self.parallel {
-            ExecutionMode::Parallel { threads: 0 }
-        } else {
-            ExecutionMode::Sequential
-        }
     }
 
     /// A flapping link between `region_a` and `region_b` of the scenario's
@@ -1063,7 +1025,6 @@ pub fn run_leopard_scenario_unchecked(config: &ScenarioConfig) -> ScenarioReport
         }
         LeopardReplica::new(id, replica_config, shared.clone())
     });
-    sim.set_execution_mode(config.execution_mode());
     sim.run_until(SimTime::ZERO + config.duration, config.max_events);
     let snapshot = SystemSnapshot::capture(
         &sim,
@@ -1086,8 +1047,7 @@ pub fn run_hotstuff_scenario(config: &ScenarioConfig) -> ScenarioReport {
     let keys = hotstuff_config.shared_keys(config.seed);
     let sim = Simulation::new(config.network(), config.faults(), move |id| {
         HotStuffReplica::new(id, hotstuff_config.clone(), keys.clone())
-    })
-    .with_execution_mode(config.execution_mode());
+    });
     let report = sim.run_to_report(SimTime::ZERO + config.duration, config.max_events);
     ScenarioReport::from_sim("hotstuff", config, report)
 }

@@ -23,7 +23,7 @@
 //!   windows for Byzantine experiments ([`fault`]);
 //! * [`MetricsSink`], [`TrafficMatrix`] — per-node, per-category byte accounting and
 //!   protocol observations ([`metrics`]);
-//! * [`runtime`] — a crossbeam-channel + thread runtime that drives the same
+//! * [`runtime`] — a `std::sync::mpsc` channel + thread runtime that drives the same
 //!   [`Protocol`] implementations in real time for the runnable examples.
 
 #![forbid(unsafe_code)]
@@ -43,5 +43,5 @@ pub use fault::{flapping_windows, CrashWindow, FaultPlan, MessageFate, Partition
 pub use metrics::{LatencyHistogram, MetricsSink, Observation, ObservationKind, TrafficMatrix};
 pub use network::{LinkConfig, NetworkConfig, ResolvedTopology, StragglerProfile, Topology};
 pub use protocol::{Context, ProgressProbe, Protocol, SimMessage};
-pub use sim::{global_events_processed, ExecutionMode, Simulation, SimulationReport};
+pub use sim::{global_events_processed, Simulation, SimulationReport};
 pub use time::{SimDuration, SimTime};

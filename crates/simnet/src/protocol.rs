@@ -17,9 +17,9 @@ use rand::RngCore;
 /// (paper, Table III); it should be a small, fixed set of labels such as
 /// `"datablock"`, `"bftblock"`, `"vote"`, `"proof"`.
 ///
-/// `Send + Sync` because one `Arc`'d envelope of a multicast may be delivered from
-/// several worker threads of the simulator's parallel execution mode (and the
-/// thread-based runtime moves messages across channels).
+/// `Send + Sync` for the thread-based [`crate::runtime`]: messages move across
+/// channels between node threads, and `Sync` lets a message be shared behind an
+/// `Arc` among those threads. The simulator itself runs on one thread.
 pub trait SimMessage: Clone + WireSize + Send + Sync + 'static {
     /// The accounting category of this message.
     fn category(&self) -> &'static str;
@@ -135,10 +135,8 @@ impl ProgressProbe {
 
 /// A sans-IO protocol state machine.
 ///
-/// `Send` because both drivers move state machines across threads: the thread-based
-/// [`crate::runtime`] gives each node its own thread, and the simulator's parallel
-/// execution mode executes same-instant callbacks of different nodes on a worker
-/// pool (each node's state is only ever touched by one thread at a time).
+/// `Send` because the thread-based [`crate::runtime`] moves each node's state
+/// machine onto its own thread. The simulator drives every node from one thread.
 pub trait Protocol: Send {
     /// The message type exchanged between nodes running this protocol.
     type Message: SimMessage;

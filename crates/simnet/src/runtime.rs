@@ -1,7 +1,7 @@
 //! A thread-based real-time runtime driving the same [`Protocol`] state machines as the
 //! discrete-event simulator.
 //!
-//! Every node runs on its own OS thread; messages travel over crossbeam channels and are
+//! Every node runs on its own OS thread; messages travel over `std::sync::mpsc` channels and are
 //! delivered immediately (the runtime does not emulate bandwidth — it exists to
 //! demonstrate that the protocol state machines are genuinely IO-free and to provide a
 //! "real deployment" path for the examples). Traffic is still accounted per category so
@@ -10,13 +10,12 @@
 use crate::metrics::{MetricsSink, ObservationKind};
 use crate::protocol::{Context, Protocol, SimMessage};
 use crate::time::{SimDuration, SimTime};
-use crossbeam::channel::{unbounded, Receiver, RecvTimeoutError, Sender};
 use leopard_types::NodeId;
-use parking_lot::Mutex;
 use rand::rngs::StdRng;
 use rand::{RngCore, SeedableRng};
 use std::collections::BinaryHeap;
-use std::sync::Arc;
+use std::sync::mpsc::{channel, Receiver, RecvTimeoutError, Sender};
+use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 
 /// A message envelope travelling between node threads.
@@ -55,6 +54,9 @@ impl PartialOrd for PendingTimer {
     }
 }
 
+/// The panic message for a metrics sink whose lock a panicking node thread poisoned.
+const METRICS_POISONED: &str = "runtime metrics sink lock poisoned by a panicked node thread";
+
 /// Shared state between node threads.
 struct Shared<M> {
     senders: Vec<Sender<Envelope<M>>>,
@@ -91,7 +93,7 @@ impl<M: SimMessage> Context for RuntimeContext<'_, M> {
         let size = message.wire_size() as u64;
         let category = message.category();
         {
-            let mut metrics = self.shared.metrics.lock();
+            let mut metrics = self.shared.metrics.lock().expect(METRICS_POISONED);
             metrics.traffic.record_sent(self.node, category, size);
             metrics.traffic.record_received(to, category, size);
         }
@@ -114,6 +116,7 @@ impl<M: SimMessage> Context for RuntimeContext<'_, M> {
         self.shared
             .metrics
             .lock()
+            .expect(METRICS_POISONED)
             .observe(self.now, self.node, observation);
     }
 
@@ -136,7 +139,7 @@ where
     let mut senders = Vec::with_capacity(n);
     let mut receivers: Vec<Receiver<Envelope<P::Message>>> = Vec::with_capacity(n);
     for _ in 0..n {
-        let (tx, rx) = unbounded();
+        let (tx, rx) = channel();
         senders.push(tx);
         receivers.push(rx);
     }
@@ -165,7 +168,7 @@ where
     }
 
     let shared = Arc::try_unwrap(shared).unwrap_or_else(|_| panic!("all node threads joined"));
-    shared.metrics.into_inner()
+    shared.metrics.into_inner().expect(METRICS_POISONED)
 }
 
 fn node_loop<P: Protocol>(

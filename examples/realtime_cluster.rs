@@ -1,5 +1,5 @@
 //! Run the *same* Leopard replica state machines on the thread-based real-time runtime
-//! (crossbeam channels, OS threads, wall-clock timers) instead of the discrete-event
+//! (`std::sync::mpsc` channels, OS threads, wall-clock timers) instead of the discrete-event
 //! simulator — demonstrating that the protocol implementation is genuinely sans-IO.
 //!
 //! ```text

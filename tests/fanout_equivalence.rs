@@ -1,26 +1,24 @@
-//! Fan-out side-table equivalence properties (PR 10).
+//! Fan-out side-table audit properties (PR 10).
 //!
 //! The compressed event queue (see `DESIGN.md` §10) interns each logical fan-out
 //! once in a per-run side table and queues `{fanout, receiver}` handles in place of
 //! the expanded per-copy `{from, to, Arc<message>, size}` events. The expanded
-//! representation no longer exists in the code, but its observable behaviour is
-//! pinned twice over: the constants in `tests/determinism_golden.rs` were captured
-//! from it, and `tests/engine_equivalence.rs` holds the parallel engine to the same
-//! stream. This file adds the *property* layer on top of those point checks: across
-//! fuzzed seeds, fault schedules and topologies (the chaos generator's space —
-//! WAN/LAN, crash windows, region partitions, Byzantine proposers), the compressed
-//! queue must
+//! representation no longer exists in the code; the constants in
+//! `tests/determinism_golden.rs` were captured from it, so the goldens pin the
+//! compressed queue to its event stream. This file adds the *property* layer on top
+//! of those point checks: across fuzzed seeds, fault schedules and topologies (the
+//! chaos generator's space — WAN/LAN, crash windows, region partitions, Byzantine
+//! proposers), every run must
 //!
-//! * produce the same observation stream on both engines (sequential and parallel
-//!   take entirely different paths through the table — immediate refcounting vs
-//!   worker-side reads with deferred accounting in the replay), and
 //! * pass the fan-out reference audit at the end of the run: every slot's refcount
 //!   equals the number of `Arrive`/`Deliver` handles still queued against it (runs
 //!   cut off at their deadline legitimately end with handles in flight, so "live
 //!   slots == 0" would be the wrong invariant). A leaked reference leaves a slot
 //!   out-referenced and fails the audit; a double-free underflows the slot's
 //!   refcount and panics inside the table (debug assertions and overflow checks are
-//!   active in the test profile) before the comparison even runs.
+//!   active in the test profile) before the audit even runs;
+//! * actually use the table (a non-zero peak), and
+//! * stay invariant-clean.
 //!
 //! Crash windows and partitions matter specifically because they drop *individual
 //! receivers* out of a fan-out: the dropped copy's reference must come back via the
@@ -29,41 +27,31 @@
 //! referenced.
 
 use leopard::harness::chaos::FaultScheduleGenerator;
-use leopard::harness::scenario::{run_leopard_scenario_unchecked, ScenarioConfig, ScenarioReport};
+use leopard::harness::scenario::{run_leopard_scenario_unchecked, ScenarioConfig};
+use leopard::simnet::SimDuration;
+use leopard::types::NodeId;
 use proptest::prelude::*;
 
-/// The full observable surface of a run: headline totals plus the complete
-/// observation stream with instants, so two runs agreeing here are
-/// observationally interchangeable.
-#[derive(Debug, PartialEq)]
-struct Fingerprint {
-    events: u64,
-    confirmed: u64,
-    sent_bytes: u64,
-    recv_bytes: u64,
-    views_entered: u64,
-    observations: Vec<(u64, u32)>,
-}
-
-fn fingerprint(report: &ScenarioReport) -> Fingerprint {
-    Fingerprint {
-        events: report.sim.events,
-        confirmed: report.confirmed_requests,
-        sent_bytes: report.sim.metrics.traffic.total_sent_bytes(),
-        recv_bytes: report.sim.metrics.traffic.total_received_bytes(),
-        views_entered: report.views_entered,
-        observations: report
-            .sim
-            .metrics
-            .observations
-            .iter()
-            .map(|o| (o.at.as_nanos(), o.node.0))
-            .collect(),
+/// Runs `config` and checks the audit, table use and invariant verdict; returns the
+/// first failure as a message.
+fn audit(label: &str, config: &ScenarioConfig) -> Result<(), String> {
+    let report = run_leopard_scenario_unchecked(config);
+    if !report.sim.fanouts_balanced {
+        return Err(format!(
+            "{label}: reference audit failed ({} live, peak {})",
+            report.sim.fanouts_live, report.sim.fanouts_peak
+        ));
     }
-}
-
-fn run(config: &ScenarioConfig, parallel: bool) -> ScenarioReport {
-    run_leopard_scenario_unchecked(&config.clone().with_parallel(parallel))
+    if report.sim.fanouts_peak == 0 {
+        return Err(format!("{label}: table never used"));
+    }
+    if !report.violations.is_empty() {
+        return Err(format!(
+            "{label}: invariant violations {:?}",
+            report.violations
+        ));
+    }
+    Ok(())
 }
 
 proptest::proptest! {
@@ -80,49 +68,38 @@ proptest::proptest! {
         case in 0usize..64,
     ) {
         let config = FaultScheduleGenerator::new(n, master_seed).schedule(case).to_config();
-
-        let sequential = run(&config, false);
-        prop_assert!(
-            sequential.sim.fanouts_balanced,
-            "sequential run failed the reference audit ({} live, peak {})",
-            sequential.sim.fanouts_live, sequential.sim.fanouts_peak
-        );
-
-        let parallel = run(&config, true);
-        prop_assert!(
-            parallel.sim.fanouts_balanced,
-            "parallel run failed the reference audit ({} live, peak {})",
-            parallel.sim.fanouts_live, parallel.sim.fanouts_peak
-        );
-
-        prop_assert_eq!(
-            fingerprint(&sequential),
-            fingerprint(&parallel),
-            "engines diverged on a fuzzed schedule"
-        );
-        // The slot *lifecycle* must also agree: live count and peak table size are
-        // functions of the (identical) event schedule, not of which engine ran it.
-        prop_assert_eq!(sequential.sim.fanouts_live, parallel.sim.fanouts_live);
-        prop_assert_eq!(sequential.sim.fanouts_peak, parallel.sim.fanouts_peak);
-        prop_assert_eq!(sequential.violations, parallel.violations);
+        let label = format!("n {n}, seed {master_seed}, case {case}");
+        if let Err(message) = audit(&label, &config) {
+            prop_assert!(false, "{}", message);
+        }
     }
 }
 
-/// Deterministic regression anchor next to the fuzzed property: the recovery-wedging
-/// chaos schedule (seed 7, case 142 — the PR 7 reproducer) passes the reference
-/// audit on both engines even though crashes and partitions drop receivers
-/// mid-flight (the crash-path `release` must return exactly the dropped handles).
+/// Deterministic regression anchors next to the fuzzed property. Both drop receivers
+/// mid-flight, so the crash-path `release` must return exactly the dropped handles:
+///
+/// * the recovery-wedging chaos schedule (seed 7, case 142 — the PR 7 reproducer),
+///   with crashes and partitions;
+/// * a leader crash at 300 ms plus a crash-restart of node 3 over 600–1200 ms, which
+///   takes the restart path (timer epochs, state transfer) through the table.
 #[test]
 fn chaos_reproducer_balances_every_slot() {
-    let config = FaultScheduleGenerator::new(16, 7).schedule(142).to_config();
-    for parallel in [false, true] {
-        let report = run(&config, parallel);
-        assert!(
-            report.sim.fanouts_balanced,
-            "parallel={parallel}: reference audit failed ({} live, peak {})",
-            report.sim.fanouts_live,
-            report.sim.fanouts_peak
-        );
-        assert!(report.sim.fanouts_peak > 0, "parallel={parallel}: table never used");
+    let chaos = FaultScheduleGenerator::new(16, 7).schedule(142).to_config();
+    let crash_restart = ScenarioConfig::small(7)
+        .with_seed(9)
+        .with_leader_crash_at(SimDuration::from_millis(300))
+        .with_crash_restart(
+            NodeId(3),
+            SimDuration::from_millis(600),
+            SimDuration::from_millis(1200),
+        )
+        .with_duration(SimDuration::from_secs(4));
+    for (label, config) in [
+        ("chaos seed 7 case 142", chaos),
+        ("small(7) leader crash + crash-restart", crash_restart),
+    ] {
+        if let Err(message) = audit(label, &config) {
+            panic!("{message}");
+        }
     }
 }
