@@ -2,16 +2,15 @@
 //!
 //! ```text
 //! cargo run -p leopard-bench --release --bin experiments -- \
-//!     [--full] [--bench-json <path>] [<id>...]
+//!     [--full] [<id>...]
 //! ```
 //!
 //! With no ids every experiment runs. `--full` selects the paper-scale parameter sets
 //! (slower); the default "quick" profile uses reduced scales suitable for a laptop.
-//! Each table is printed to stdout and written to `target/experiments/<id>.csv`.
-//!
-//! `--bench-json <path>` additionally writes a machine-readable JSON document with the
-//! wall-clock seconds and result table of every experiment run — the format of the
-//! repo's `BENCH_*.json` performance trajectory (see `EXPERIMENTS.md`).
+//! Each table is printed to stdout and written to `target/experiments/<id>.csv`, and
+//! each experiment's wall clock, engine events/sec and peak RSS go to stderr.
+//! Performance is recorded by the repository benchmark (`perfbench/`, the
+//! `BENCHMARK.json` command), not by this binary.
 //!
 //! `--require-nonzero <substr>` makes the binary exit non-zero if any cell in a column
 //! whose header contains `<substr>` does not start with a positive number — the CI
@@ -35,17 +34,10 @@
 //! `.github/workflows/ci.yml` for how the threshold was chosen). Use it only with
 //! experiment ids that run a simulation: analytical tables report 0 events/sec and
 //! would trip the floor by construction.
-//!
-//! `bench-trajectory` (a subcommand, not a flag) ignores every experiment id and
-//! instead folds all `BENCH_PR*.json` documents in the current directory into
-//! `BENCH_TRAJECTORY.md` — the per-PR table of quick-suite wall clock, engine
-//! events/sec and peak RSS. Run it from the repo root after recording a new
-//! `BENCH_PR*.json` (see `leopard_harness::trajectory`).
 
 use leopard_harness::chaos::ChaosOverrides;
 use leopard_harness::experiments::{run_experiment_with, EXPERIMENT_IDS};
-use leopard_harness::report::{bench_records_to_json, peak_rss_bytes, BenchRecord};
-use leopard_harness::trajectory::{fold_document, render_trajectory};
+use leopard_harness::report::peak_rss_bytes;
 use leopard_simnet::global_events_processed;
 use std::path::PathBuf;
 use std::time::Instant;
@@ -53,7 +45,6 @@ use std::time::Instant;
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
     let full = args.iter().any(|a| a == "--full");
-    let mut bench_json: Option<PathBuf> = None;
     let mut require_nonzero: Option<String> = None;
     let mut max_wall_clock: Option<f64> = None;
     let mut min_events_per_sec: Option<f64> = None;
@@ -63,13 +54,6 @@ fn main() {
     while let Some(arg) = iter.next() {
         match arg.as_str() {
             "--full" => {}
-            "--bench-json" => match iter.next() {
-                Some(path) => bench_json = Some(PathBuf::from(path)),
-                None => {
-                    eprintln!("--bench-json requires a path argument");
-                    std::process::exit(2);
-                }
-            },
             "--require-nonzero" => match iter.next() {
                 Some(substr) => require_nonzero = Some(substr),
                 None => {
@@ -115,9 +99,6 @@ fn main() {
             _ => requested.push(arg),
         }
     }
-    if requested.iter().any(|id| id == "bench-trajectory") {
-        std::process::exit(write_bench_trajectory());
-    }
     let ids: Vec<&str> = if requested.is_empty() {
         EXPERIMENT_IDS.to_vec()
     } else {
@@ -125,7 +106,7 @@ fn main() {
     };
 
     let out_dir = PathBuf::from("target/experiments");
-    let mut records: Vec<BenchRecord> = Vec::new();
+    let mut total_wall_clock = 0.0;
     let mut failures = 0usize;
     for id in ids {
         eprintln!("running experiment {id} ({}) ...", if full { "full" } else { "quick" });
@@ -134,6 +115,7 @@ fn main() {
         match run_experiment_with(id, !full, &chaos) {
             Some(table) => {
                 let wall_clock_secs = start.elapsed().as_secs_f64();
+                total_wall_clock += wall_clock_secs;
                 let events = global_events_processed() - events_before;
                 let events_per_sec = if wall_clock_secs > 0.0 {
                     events as f64 / wall_clock_secs
@@ -168,13 +150,6 @@ fn main() {
                         );
                     }
                 }
-                records.push(BenchRecord {
-                    id: id.to_string(),
-                    wall_clock_secs,
-                    events_per_sec,
-                    peak_memory_bytes,
-                    table,
-                });
             }
             None => {
                 eprintln!("  unknown experiment id: {id}");
@@ -182,7 +157,6 @@ fn main() {
             }
         }
     }
-    let total_wall_clock: f64 = records.iter().map(|r| r.wall_clock_secs).sum();
     if let Some(budget) = max_wall_clock {
         if total_wall_clock > budget {
             eprintln!(
@@ -191,17 +165,6 @@ fn main() {
             failures += 1;
         } else {
             eprintln!("wall-clock budget ok: {total_wall_clock:.3}s <= {budget:.3}s");
-        }
-    }
-    if let Some(path) = bench_json {
-        let profile = if full { "full" } else { "quick" };
-        let json = bench_records_to_json(profile, &records);
-        match std::fs::write(&path, json) {
-            Ok(()) => eprintln!("wrote bench trajectory to {}", path.display()),
-            Err(error) => {
-                eprintln!("could not write bench JSON to {}: {error}", path.display());
-                failures += 1;
-            }
         }
     }
     if failures > 0 {
@@ -234,50 +197,4 @@ fn check_nonzero_columns(table: &leopard_harness::report::Table, substr: &str) -
         }
     }
     failures
-}
-
-/// The `bench-trajectory` subcommand: folds every `BENCH_PR*.json` in the current
-/// directory into `BENCH_TRAJECTORY.md`. Returns the process exit code.
-fn write_bench_trajectory() -> i32 {
-    let mut rows = Vec::new();
-    let mut failures = 0;
-    let mut names: Vec<String> = match std::fs::read_dir(".") {
-        Ok(entries) => entries
-            .filter_map(|entry| entry.ok())
-            .filter_map(|entry| entry.file_name().into_string().ok())
-            .filter(|name| name.starts_with("BENCH_PR") && name.ends_with(".json"))
-            .collect(),
-        Err(error) => {
-            eprintln!("could not scan the current directory: {error}");
-            return 1;
-        }
-    };
-    names.sort();
-    if names.is_empty() {
-        eprintln!("no BENCH_PR*.json files here — run from the repo root");
-        return 1;
-    }
-    for name in &names {
-        match std::fs::read_to_string(name).map_err(|e| e.to_string()).and_then(|content| fold_document(name, &content)) {
-            Ok(row) => rows.push(row),
-            Err(error) => {
-                eprintln!("skipping {name}: {error}");
-                failures += 1;
-            }
-        }
-    }
-    let folded = rows.len();
-    let markdown = render_trajectory(rows);
-    match std::fs::write("BENCH_TRAJECTORY.md", &markdown) {
-        Ok(()) => eprintln!("wrote BENCH_TRAJECTORY.md ({folded} documents folded)"),
-        Err(error) => {
-            eprintln!("could not write BENCH_TRAJECTORY.md: {error}");
-            failures += 1;
-        }
-    }
-    if failures > 0 {
-        1
-    } else {
-        0
-    }
 }

@@ -22,7 +22,6 @@ pub mod experiments;
 pub mod invariants;
 pub mod report;
 pub mod scenario;
-pub mod trajectory;
 pub mod workload;
 
 pub use chaos::{ChaosFault, ChaosOptions, ChaosSchedule, FaultScheduleGenerator};

@@ -1,7 +1,7 @@
 //! Plain-text table rendering and CSV output.
 //!
-//! Kept dependency-free on purpose (the approved crate set contains no serialisation
-//! helper for CSV/JSON); the experiment binary writes these tables to stdout and to
+//! Kept dependency-free on purpose (the approved crate set contains no CSV
+//! serialiser); the experiment binary writes these tables to stdout and to
 //! `target/experiments/<id>.csv`.
 
 use std::fmt::Write as _;
@@ -108,99 +108,6 @@ impl Table {
         std::fs::write(&path, self.to_csv())?;
         Ok(path)
     }
-
-    /// Renders the table as a JSON object `{"title", "headers", "rows"}`.
-    pub fn to_json(&self) -> String {
-        let mut out = String::new();
-        let _ = write!(out, "{{\"title\":{},\"headers\":[", json_string(&self.title));
-        let _ = write!(
-            out,
-            "{}",
-            self.headers.iter().map(|h| json_string(h)).collect::<Vec<_>>().join(",")
-        );
-        let _ = write!(out, "],\"rows\":[");
-        let rows: Vec<String> = self
-            .rows
-            .iter()
-            .map(|row| {
-                format!(
-                    "[{}]",
-                    row.iter().map(|c| json_string(c)).collect::<Vec<_>>().join(",")
-                )
-            })
-            .collect();
-        let _ = write!(out, "{}]}}", rows.join(","));
-        out
-    }
-}
-
-/// Escapes a string as a JSON string literal (dependency-free; the approved crate set
-/// contains no JSON serialiser).
-pub fn json_string(value: &str) -> String {
-    let mut out = String::with_capacity(value.len() + 2);
-    out.push('"');
-    for c in value.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => {
-                let _ = write!(out, "\\u{:04x}", c as u32);
-            }
-            c => out.push(c),
-        }
-    }
-    out.push('"');
-    out
-}
-
-/// One entry of the machine-readable benchmark trajectory written by the `experiments`
-/// binary's `--bench-json` flag.
-#[derive(Debug, Clone)]
-pub struct BenchRecord {
-    /// Experiment id (e.g. `"fig9"`).
-    pub id: String,
-    /// Wall-clock seconds the experiment took to run.
-    pub wall_clock_secs: f64,
-    /// Simulation events executed per wall-clock second over this experiment — the
-    /// engine-speed figure (as opposed to the protocol-throughput columns inside the
-    /// table). `0.0` when the experiment ran no simulation (the analytical tables).
-    pub events_per_sec: f64,
-    /// The process's peak resident set (bytes) observed after this experiment. The
-    /// kernel's high-water mark is monotone over the process lifetime, so this is
-    /// "the largest the suite had grown by the end of this experiment", not a
-    /// per-experiment delta.
-    pub peak_memory_bytes: u64,
-    /// The result table (throughput columns included).
-    pub table: Table,
-}
-
-/// Renders a benchmark run (profile + per-experiment wall clock, engine events/sec,
-/// peak RSS and tables) as the `BENCH_*.json` trajectory document
-/// (schema `leopard-bench/v2`; v1 lacked the two engine-speed fields).
-pub fn bench_records_to_json(profile: &str, records: &[BenchRecord]) -> String {
-    let total: f64 = records.iter().map(|r| r.wall_clock_secs).sum();
-    let entries: Vec<String> = records
-        .iter()
-        .map(|record| {
-            format!(
-                "    {{\"id\":{},\"wall_clock_secs\":{:.3},\"events_per_sec\":{:.0},\"peak_memory_bytes\":{},\"table\":{}}}",
-                json_string(&record.id),
-                record.wall_clock_secs,
-                record.events_per_sec,
-                record.peak_memory_bytes,
-                record.table.to_json()
-            )
-        })
-        .collect();
-    format!(
-        "{{\n  \"schema\": \"leopard-bench/v2\",\n  \"profile\": {},\n  \"total_wall_clock_secs\": {:.3},\n  \"experiments\": [\n{}\n  ]\n}}\n",
-        json_string(profile),
-        total,
-        entries.join(",\n")
-    )
 }
 
 /// The process's peak resident set size in bytes (`VmHWM` from `/proc/self/status`).
@@ -283,35 +190,6 @@ mod tests {
         assert_eq!(format_kreqs(125_000.0), "125.0");
         assert_eq!(format_mbps(20_000_000.0), "20.0");
         assert_eq!(format_kb(2048.0), "2.0");
-    }
-
-    #[test]
-    fn json_string_escapes_specials() {
-        assert_eq!(json_string("plain"), "\"plain\"");
-        assert_eq!(json_string("a\"b\\c\n"), "\"a\\\"b\\\\c\\n\"");
-        assert_eq!(json_string("\u{1}"), "\"\\u0001\"");
-    }
-
-    #[test]
-    fn bench_json_document_shape() {
-        let mut table = Table::new("demo", &["n", "throughput"]);
-        table.push_row(vec!["4".into(), "100.0".into()]);
-        let records = vec![BenchRecord {
-            id: "fig9".into(),
-            wall_clock_secs: 1.25,
-            events_per_sec: 1_234_567.8,
-            peak_memory_bytes: 42 * 1024 * 1024,
-            table,
-        }];
-        let json = bench_records_to_json("quick", &records);
-        assert!(json.contains("\"schema\": \"leopard-bench/v2\""));
-        assert!(json.contains("\"profile\": \"quick\""));
-        assert!(json.contains("\"id\":\"fig9\""));
-        assert!(json.contains("\"wall_clock_secs\":1.250"));
-        assert!(json.contains("\"events_per_sec\":1234568"));
-        assert!(json.contains("\"peak_memory_bytes\":44040192"));
-        assert!(json.contains("\"rows\":[[\"4\",\"100.0\"]]"));
-        assert!(json.contains("\"total_wall_clock_secs\": 1.250"));
     }
 
     #[test]

@@ -1,9 +1,9 @@
-//! Network model configuration: per-node link capacities, propagation latency, the
-//! partial-synchrony (GST) model, and the geo-distributed [`Topology`] abstraction
-//! (named regions, a pairwise latency/jitter matrix, per-region bandwidth classes and
-//! per-node straggler profiles).
+//! Network model configuration: per-node link capacities, propagation latency, and
+//! the geo-distributed [`Topology`] abstraction (named regions, a pairwise
+//! latency/jitter matrix, per-region bandwidth classes and per-node straggler
+//! profiles).
 
-use crate::time::{SimDuration, SimTime};
+use crate::time::SimDuration;
 
 /// Capacity of one node's network interface.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -447,10 +447,7 @@ impl ResolvedTopology {
 /// sender's uplink and the receiver's downlink (FIFO queues), plus a propagation delay
 /// drawn uniformly from `[base, base + jitter]`, where `base` and `jitter` come from
 /// the scalar [`Self::base_latency`]/[`Self::jitter`] pair when [`Self::topology`] is
-/// `None`, and from the topology's region-pair matrix otherwise. Before
-/// [`NetworkConfig::gst`] an additional asynchronous delay of up to
-/// `pre_gst_extra_delay` is added to every message, modelling the unstable period of
-/// the partial-synchrony model of Dwork et al.
+/// `None`, and from the topology's region-pair matrix otherwise.
 #[derive(Debug, Clone)]
 pub struct NetworkConfig {
     /// Number of nodes.
@@ -462,10 +459,6 @@ pub struct NetworkConfig {
     pub base_latency: SimDuration,
     /// Maximum additional random latency (uniform jitter) of the flat scalar model.
     pub jitter: SimDuration,
-    /// Global stabilisation time; before this instant messages suffer the extra delay.
-    pub gst: SimTime,
-    /// Maximum extra delay applied to messages sent before GST.
-    pub pre_gst_extra_delay: SimDuration,
     /// Seed for the simulation's deterministic randomness.
     pub seed: u64,
     /// When true a node's uplink and downlink share one serialisation queue, i.e. the
@@ -496,15 +489,13 @@ pub struct NetworkConfig {
 
 impl NetworkConfig {
     /// A LAN-like datacenter network of `nodes` replicas with the paper's 9.8 Gbps NICs
-    /// and 500 µs one-way latency, already synchronous from the start (GST = 0).
+    /// and 500 µs one-way latency.
     pub fn datacenter(nodes: usize) -> Self {
         Self {
             nodes,
             links: vec![LinkConfig::paper_default()],
             base_latency: SimDuration::from_micros(500),
             jitter: SimDuration::from_micros(50),
-            gst: SimTime::ZERO,
-            pre_gst_extra_delay: SimDuration::ZERO,
             seed: 0xC0FFEE,
             half_duplex: true,
             cpu_speeds: Vec::new(),
@@ -543,13 +534,6 @@ impl NetworkConfig {
     /// Sets the random seed.
     pub fn with_seed(mut self, seed: u64) -> Self {
         self.seed = seed;
-        self
-    }
-
-    /// Sets GST and the pre-GST extra delay.
-    pub fn with_gst(mut self, gst: SimTime, extra: SimDuration) -> Self {
-        self.gst = gst;
-        self.pre_gst_extra_delay = extra;
         self
     }
 

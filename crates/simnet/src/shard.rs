@@ -449,6 +449,65 @@ mod tests {
         }
     }
 
+    /// Heap pushes interleaved with per-shard nondecreasing deliver-FIFO pushes pop
+    /// in exact `(time, seq)` order, and `for_each_kind` rebuilds every queued FIFO
+    /// handle exactly once as `Deliver { fanout, to: shard }`.
+    #[test]
+    fn deliver_fifo_merges_with_the_heaps_in_time_seq_order() {
+        for shards in [1usize, 3, 4, 7] {
+            let mut queue = ShardedQueue::new(shards);
+            let mut heap_keys: Vec<EventKey> = Vec::new();
+            // (time, seq, shard) of every FIFO push; the fan-out handle is the seq.
+            let mut fifo: Vec<(SimTime, u64, u32)> = Vec::new();
+            let mut fifo_time = vec![0u64; shards];
+            let mut state = 0x2545F4914F6CDD1Du64;
+            for seq in 1..=300u64 {
+                state = state.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407);
+                let shard = (state >> 33) as u32 % shards as u32;
+                if (state >> 20) % 2 == 0 {
+                    let time = SimTime((state >> 7) % 40);
+                    queue.push(shard, queued(time, seq));
+                    heap_keys.push((time, seq));
+                } else {
+                    // Nondecreasing per shard, with repeats and jumps past heap times.
+                    fifo_time[shard as usize] += (state >> 40) % 3;
+                    let time = SimTime(fifo_time[shard as usize]);
+                    queue.push_deliver(shard, time, seq, seq as u32);
+                    fifo.push((time, seq, shard));
+                }
+            }
+            assert!(!fifo.is_empty() && !heap_keys.is_empty());
+
+            let mut visited: Vec<(u32, u32)> = Vec::new();
+            let mut others = 0;
+            queue.for_each_kind(|kind| match *kind {
+                EventKind::Deliver { fanout, to } => visited.push((fanout, to.0)),
+                _ => others += 1,
+            });
+            visited.sort_unstable();
+            let mut expected_fifo: Vec<(u32, u32)> =
+                fifo.iter().map(|&(_, seq, shard)| (seq as u32, shard)).collect();
+            expected_fifo.sort_unstable();
+            assert_eq!(visited, expected_fifo);
+            assert_eq!(others, heap_keys.len());
+
+            let mut popped = Vec::new();
+            while let Some(event) = queue.pop() {
+                if let EventKind::Deliver { fanout, to } = event.kind {
+                    assert_eq!(u64::from(fanout), event.seq, "FIFO handle travels with its key");
+                    let &(_, _, shard) = fifo.iter().find(|entry| entry.1 == event.seq).unwrap();
+                    assert_eq!(to.0, shard, "FIFO delivery goes to its shard's node");
+                }
+                popped.push((event.at, event.seq));
+            }
+            let mut expected: Vec<EventKey> = heap_keys;
+            expected.extend(fifo.iter().map(|&(time, seq, _)| (time, seq)));
+            expected.sort_unstable();
+            assert_eq!(popped, expected);
+            assert_eq!(queue.len(), 0);
+        }
+    }
+
     /// `pop_min` honours the deadline and repairs the winner's leaf on every pop.
     #[test]
     fn pop_min_respects_the_deadline() {

@@ -6,9 +6,8 @@
 //!
 //! 1. The message queues at `a`'s uplink: it departs at
 //!    `departure = max(t, uplink_free[a]) + s·8 / uplink_bps`.
-//! 2. It propagates for `base + U(0, jitter)` (plus `U(0, pre_gst_extra_delay)` before
-//!    GST), where `base` and `jitter` come from the flat scalar
-//!    `base_latency`/`jitter` pair, or — when the configuration carries a
+//! 2. It propagates for `base + U(0, jitter)`, where `base` and `jitter` come from the
+//!    flat scalar `base_latency`/`jitter` pair, or — when the configuration carries a
 //!    [`crate::network::Topology`] — from the region-pair latency matrix, plus the
 //!    deterministic straggler extras of both endpoints. Exactly one uniform jitter
 //!    sample is drawn per routed message whose pair jitter bound is non-zero, in route
@@ -163,12 +162,11 @@ impl Ord for QueuedEvent {
 enum Outgoing<M> {
     /// A single-recipient send.
     Unicast(NodeId, M),
-    /// A send to every other node; the engine expands it with `wire_size()` and
-    /// `category()` computed once for the whole fan-out.
-    Multicast(M),
-    /// A send to every node including the sender; the self-delivery shares the same
-    /// `Arc` envelope as the fan-out, so no extra clone of the message is made.
-    Broadcast(M),
+    /// A send to every other node — and, with `include_self`, to the sender too; the
+    /// engine expands it with `wire_size()` and `category()` computed once for the
+    /// whole fan-out. The self-delivery shares the fan-out's `Arc` envelope, so no
+    /// extra clone of the message is made.
+    Multicast { message: M, include_self: bool },
 }
 
 /// Actions a protocol requested during one callback, applied by the engine afterwards.
@@ -243,14 +241,20 @@ impl<M: SimMessage> Context for SimContext<'_, M> {
     fn multicast(&mut self, message: M) {
         // Fast path: defer the fan-out to the engine, which charges the paper's
         // `n − 1`-unicast cost model while computing the wire size only once.
-        self.actions.sends.push(Outgoing::Multicast(message));
+        self.actions.sends.push(Outgoing::Multicast {
+            message,
+            include_self: false,
+        });
     }
 
     fn broadcast(&mut self, message: M) {
         // Fast path: one envelope for the whole fan-out *and* the self-delivery — the
         // default `multicast(m.clone()) + send(self, m)` implementation would clone the
         // message once more just to hand it back to the sender.
-        self.actions.sends.push(Outgoing::Broadcast(message));
+        self.actions.sends.push(Outgoing::Multicast {
+            message,
+            include_self: true,
+        });
     }
 
     fn set_timer(&mut self, delay: SimDuration, token: u64) {
@@ -372,9 +376,9 @@ impl SimulationReport {
     ///
     /// The denominator is the **full virtual run time** `[0, end_time]`, including the
     /// start-up transient during which pipelines fill and nothing is confirmed yet. This
-    /// matches how the paper reports steady-state runs and is what every `BENCH_*.json`
-    /// entry records, so cross-PR numbers stay comparable. For short runs where the
-    /// warm-up is a significant fraction of the window, use
+    /// matches how the paper reports steady-state runs and is what every experiment
+    /// table's throughput column reports. For short runs where the warm-up is a
+    /// significant fraction of the window, use
     /// [`Self::steady_state_throughput_rps`] to exclude it.
     pub fn throughput_rps(&self) -> f64 {
         let secs = self.end_time.as_secs_f64();
@@ -884,13 +888,18 @@ impl<P: Protocol> Simulation<P> {
                     self.route(node, to, fanout, size, category, at, uplink_tx);
                     self.fanouts.release_if_unused(fanout);
                 }
-                Outgoing::Multicast(message) => {
+                Outgoing::Multicast {
+                    message,
+                    include_self,
+                } => {
                     // Compute the per-message costs (wire size, category, uplink
                     // serialisation time) once for the whole fan-out, then charge each
                     // recipient exactly as `n − 1` unicasts would (same recipient
                     // order, same RNG draws, same event sequence numbers). The whole
                     // fan-out shares one interned table slot; copies dropped at route
-                    // time simply never take a reference to it.
+                    // time simply never take a reference to it. A broadcast's local
+                    // self-delivery is routed last, in the order of the default
+                    // `multicast` + `send(self)` pair, so both assign the same seqs.
                     let size = message.wire_size();
                     let category = message.category();
                     let uplink_tx = self.uplink_transmission(node, size);
@@ -901,23 +910,9 @@ impl<P: Protocol> Simulation<P> {
                             self.route(node, peer, fanout, size, category, at, uplink_tx);
                         }
                     }
-                    self.fanouts.release_if_unused(fanout);
-                }
-                Outgoing::Broadcast(message) => {
-                    // Like Multicast, plus a local self-delivery that shares the same
-                    // interned slot (ordered last, exactly where the old explicit
-                    // `multicast + send(self)` pair put it).
-                    let size = message.wire_size();
-                    let category = message.category();
-                    let uplink_tx = self.uplink_transmission(node, size);
-                    let fanout = self.fanouts.intern(node, Arc::new(message));
-                    for index in 0..self.config.nodes {
-                        let peer = NodeId(index as u32);
-                        if peer != node {
-                            self.route(node, peer, fanout, size, category, at, uplink_tx);
-                        }
+                    if include_self {
+                        self.route(node, node, fanout, size, category, at, uplink_tx);
                     }
-                    self.route(node, node, fanout, size, category, at, uplink_tx);
                     self.fanouts.release_if_unused(fanout);
                 }
             }
@@ -987,14 +982,7 @@ impl<P: Protocol> Simulation<P> {
         } else {
             self.net_rng.gen_range(0..=jitter_bound)
         };
-        let mut latency = SimDuration::from_nanos(base_nanos + jitter_nanos);
-        if at < self.config.gst && self.config.pre_gst_extra_delay.as_nanos() > 0 {
-            latency = latency
-                + SimDuration::from_nanos(
-                    self.net_rng.gen_range(0..=self.config.pre_gst_extra_delay.as_nanos()),
-                );
-        }
-        let arrival = departure + latency;
+        let arrival = departure + SimDuration::from_nanos(base_nanos + jitter_nanos);
         self.metrics.traffic.record_received(to, category, size as u64);
 
         // Downlink serialisation is reserved when the bytes actually arrive (the
