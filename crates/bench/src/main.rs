@@ -198,3 +198,47 @@ fn check_nonzero_columns(table: &leopard_harness::report::Table, substr: &str) -
     }
     failures
 }
+
+#[cfg(test)]
+mod tests {
+    use super::check_nonzero_columns;
+    use leopard_harness::report::Table;
+
+    fn table(headers: &[&str], rows: &[&[&str]]) -> Table {
+        let mut table = Table::new("t", headers);
+        for row in rows {
+            table.push_row(row.iter().map(|cell| cell.to_string()).collect());
+        }
+        table
+    }
+
+    #[test]
+    fn only_a_positive_leading_number_passes() {
+        let cases = [("12.3", 0), ("0.00 [AwaitingReady]", 1), ("-", 1), ("never", 1)];
+        for (cell, failures) in cases {
+            let t = table(&["n", "Leopard (Kreqs/s)"], &[&["4", cell]]);
+            assert_eq!(check_nonzero_columns(&t, "Leopard"), failures, "{cell:?}");
+        }
+    }
+
+    #[test]
+    fn a_matching_header_without_a_unit_is_skipped() {
+        let t = table(&["n", "Leopard diagnostics"], &[&["4", "0.00 [AwaitingReady]"]]);
+        assert_eq!(check_nonzero_columns(&t, "Leopard"), 0);
+    }
+
+    #[test]
+    fn returns_the_count_of_failing_cells() {
+        let t = table(
+            &["n", "Leopard (Kreqs/s)", "Leopard p50 (ms)", "HotStuff (Kreqs/s)"],
+            &[
+                &["4", "12.3", "-", "0.00"],
+                &["8", "0.00 [AwaitingReady]", "never", "0.00"],
+                &["16", "7.5", "3.2", "0.00"],
+            ],
+        );
+        assert_eq!(check_nonzero_columns(&t, "Leopard"), 3);
+        assert_eq!(check_nonzero_columns(&t, "HotStuff"), 3);
+        assert_eq!(check_nonzero_columns(&t, "Mir"), 0);
+    }
+}

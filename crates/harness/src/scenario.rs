@@ -776,28 +776,96 @@ impl ScenarioReport {
         let latency_p50_secs = sim.latency_percentile_secs(0.50);
         let latency_p95_secs = sim.latency_percentile_secs(0.95);
         let latency_p99_secs = sim.latency_percentile_secs(0.99);
-        let regions = Self::region_stats(config, &sim);
         let leader_compute_utilization = sim.compute_utilization(leader);
         let max_compute_utilization = sim.max_compute_utilization();
         let mean_compute_utilization = sim.mean_compute_utilization();
 
-        let view_changes = sim
-            .metrics
-            .observations
-            .iter()
-            .filter(|o| matches!(o.kind, ObservationKind::ViewChange { .. }))
-            .count() as u64;
+        // One pass over the observation log. Every accumulation visits its entries in
+        // log order, so each float sum is the one a pass of its own would give.
+        let topology = config.topology.as_ref();
+        let region_count = topology.map_or(0, Topology::region_count);
+        let mut per_node_confirmed = vec![0u64; config.n];
+        let mut region_latency_sum = vec![0f64; region_count];
+        let mut region_latency_count = vec![0u64; region_count];
+        let mut view_changes = 0u64;
         // Distinct views entered (with the instant the first replica entered each),
         // and the densest disturbance window. A healthy recovery enters one or two
         // views per disturbance; thrash shows up here long before the invariant fires.
         let mut first_entered: std::collections::BTreeMap<u64, SimTime> =
             std::collections::BTreeMap::new();
+        let mut view_change_times = Vec::new();
+        let mut retrieval_times = Vec::new();
+        let mut retrieval_bytes = Vec::new();
         for observation in &sim.metrics.observations {
-            if let ObservationKind::ViewChange { view } = observation.kind {
-                let at = first_entered.entry(view).or_insert(observation.at);
-                *at = (*at).min(observation.at);
+            match observation.kind {
+                ObservationKind::ViewChange { view } => {
+                    view_changes += 1;
+                    let at = first_entered.entry(view).or_insert(observation.at);
+                    *at = (*at).min(observation.at);
+                }
+                ObservationKind::Custom {
+                    label: "view_change_nanos",
+                    value,
+                } => view_change_times.push(value as f64 / 1e9),
+                ObservationKind::RetrievalCompleted {
+                    nanos,
+                    received_bytes,
+                } => {
+                    retrieval_times.push(nanos as f64 / 1e9);
+                    retrieval_bytes.push(received_bytes as f64);
+                }
+                ObservationKind::RequestsConfirmed { count, .. } => {
+                    if let Some(slot) = per_node_confirmed.get_mut(observation.node.as_index()) {
+                        *slot += count;
+                    }
+                }
+                ObservationKind::RequestLatency { nanos } => {
+                    if let Some(topology) = topology {
+                        let region = topology.region_of(observation.node.as_index());
+                        region_latency_sum[region] += nanos as f64 / 1e9;
+                        region_latency_count[region] += 1;
+                    }
+                }
+                _ => {}
             }
         }
+        let average = |values: &[f64]| {
+            if values.is_empty() {
+                None
+            } else {
+                Some(values.iter().sum::<f64>() / values.len() as f64)
+            }
+        };
+
+        // Per-region confirmations and latency. Empty when the scenario has no topology.
+        let mut regions = Vec::new();
+        if let Some(topology) = topology {
+            let mut max_confirmed = vec![0u64; region_count];
+            let mut nodes_per_region = vec![0usize; region_count];
+            for (node, &confirmed) in per_node_confirmed.iter().enumerate() {
+                let region = topology.region_of(node);
+                max_confirmed[region] = max_confirmed[region].max(confirmed);
+                nodes_per_region[region] += 1;
+            }
+            regions = (0..region_count)
+                .map(|region| RegionStats {
+                    name: topology.region_name(region).to_string(),
+                    nodes: nodes_per_region[region],
+                    throughput_rps: if duration_secs > 0.0 {
+                        max_confirmed[region] as f64 / duration_secs
+                    } else {
+                        0.0
+                    },
+                    average_latency_secs: if region_latency_count[region] > 0 {
+                        Some(region_latency_sum[region] / region_latency_count[region] as f64)
+                    } else {
+                        None
+                    },
+                    latency_samples: region_latency_count[region],
+                })
+                .collect();
+        }
+
         let views_entered = first_entered.len() as u64;
         let mut instants = config.disturbance_instants();
         instants.insert(0, SimTime::ZERO);
@@ -813,15 +881,6 @@ impl ScenarioReport {
             })
             .max()
             .unwrap_or(0);
-        let view_change_samples: Vec<u64> = sim.metrics.custom_samples("view_change_nanos");
-        let average_view_change_secs = if view_change_samples.is_empty() {
-            None
-        } else {
-            Some(
-                view_change_samples.iter().map(|&v| v as f64 / 1e9).sum::<f64>()
-                    / view_change_samples.len() as f64,
-            )
-        };
         let view_change_bytes: u64 = (0..config.n as u32)
             .map(|node| {
                 sim.metrics.traffic.sent_bytes_in(NodeId(node), "viewchange")
@@ -829,26 +888,7 @@ impl ScenarioReport {
             })
             .sum();
 
-        let mut retrieval_times = Vec::new();
-        let mut retrieval_bytes = Vec::new();
-        for observation in &sim.metrics.observations {
-            if let ObservationKind::RetrievalCompleted {
-                nanos,
-                received_bytes,
-            } = observation.kind
-            {
-                retrieval_times.push(nanos as f64 / 1e9);
-                retrieval_bytes.push(received_bytes as f64);
-            }
-        }
         let retrievals = retrieval_times.len() as u64;
-        let average = |values: &[f64]| {
-            if values.is_empty() {
-                None
-            } else {
-                Some(values.iter().sum::<f64>() / values.len() as f64)
-            }
-        };
         // Responder cost: average bytes of a single retrieval response (one erasure-coded
         // chunk plus its Merkle proof) — the per-replica "cost on responding" of Fig. 12.
         let (retrieval_bytes_sent, retrieval_messages) = sim
@@ -881,7 +921,7 @@ impl ScenarioReport {
             view_changes,
             views_entered,
             max_views_per_disturbance,
-            average_view_change_secs,
+            average_view_change_secs: average(&view_change_times),
             view_change_bytes,
             retrievals,
             average_retrieval_secs: average(&retrieval_times),
@@ -894,58 +934,6 @@ impl ScenarioReport {
             violations: Vec::new(),
             sim,
         }
-    }
-
-    /// One pass over the observations grouping confirmations and latency samples by
-    /// region. Empty when the scenario has no topology.
-    fn region_stats(config: &ScenarioConfig, sim: &SimulationReport) -> Vec<RegionStats> {
-        let Some(topology) = &config.topology else {
-            return Vec::new();
-        };
-        let r = topology.region_count();
-        let duration_secs = sim.end_time.as_secs_f64();
-        let mut per_node_confirmed = vec![0u64; config.n];
-        let mut latency_sum = vec![0f64; r];
-        let mut latency_count = vec![0u64; r];
-        for observation in &sim.metrics.observations {
-            match observation.kind {
-                ObservationKind::RequestsConfirmed { count, .. } => {
-                    if let Some(slot) = per_node_confirmed.get_mut(observation.node.as_index()) {
-                        *slot += count;
-                    }
-                }
-                ObservationKind::RequestLatency { nanos } => {
-                    let region = topology.region_of(observation.node.as_index());
-                    latency_sum[region] += nanos as f64 / 1e9;
-                    latency_count[region] += 1;
-                }
-                _ => {}
-            }
-        }
-        let mut max_confirmed = vec![0u64; r];
-        let mut nodes_per_region = vec![0usize; r];
-        for (node, &confirmed) in per_node_confirmed.iter().enumerate() {
-            let region = topology.region_of(node);
-            max_confirmed[region] = max_confirmed[region].max(confirmed);
-            nodes_per_region[region] += 1;
-        }
-        (0..r)
-            .map(|region| RegionStats {
-                name: topology.region_name(region).to_string(),
-                nodes: nodes_per_region[region],
-                throughput_rps: if duration_secs > 0.0 {
-                    max_confirmed[region] as f64 / duration_secs
-                } else {
-                    0.0
-                },
-                average_latency_secs: if latency_count[region] > 0 {
-                    Some(latency_sum[region] / latency_count[region] as f64)
-                } else {
-                    None
-                },
-                latency_samples: latency_count[region],
-            })
-            .collect()
     }
 
     /// Throughput in the paper's Kreqs/sec unit.

@@ -135,11 +135,6 @@ pub struct HotStuffKeys {
 }
 
 impl HotStuffKeys {
-    /// Runs the trusted setup with real crypto and the calibrated cost model.
-    pub fn generate(threshold: usize, n: usize, seed: u64) -> Self {
-        Self::generate_with(threshold, n, seed, CryptoMode::Real, CostModelKind::Calibrated)
-    }
-
     /// Runs the trusted setup with an explicit crypto mode and cost calibration.
     pub fn generate_with(
         threshold: usize,

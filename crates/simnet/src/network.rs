@@ -286,11 +286,6 @@ impl Topology {
         self.regions.len()
     }
 
-    /// Region names in index order.
-    pub fn region_names(&self) -> &[String] {
-        &self.regions
-    }
-
     /// The name of region `index`.
     ///
     /// # Panics

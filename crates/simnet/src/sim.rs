@@ -320,6 +320,7 @@ impl ComputeLanes {
 
     /// The node's nearest-free-lane horizon: the earliest instant any lane can
     /// accept new work. With one lane this is the old scalar `cpu_free`.
+    #[cfg(test)]
     pub(crate) fn horizon(&self, node: usize) -> SimTime {
         self.free[node].iter().copied().min().unwrap_or(SimTime::ZERO)
     }
@@ -615,11 +616,6 @@ impl<P: Protocol> Simulation<P> {
         &self.faults
     }
 
-    /// Mutable access to the fault plan (e.g. to add crashes mid-run).
-    pub fn faults_mut(&mut self) -> &mut FaultPlan {
-        &mut self.faults
-    }
-
     /// The `(uplink_free, downlink_free)` serialisation horizons of `node` — how far
     /// into the (virtual) future the node's FIFO link queues are already committed.
     /// A horizon far beyond [`Self::now`] means the link is backlogged.
@@ -628,15 +624,6 @@ impl<P: Protocol> Simulation<P> {
             self.uplink_free[node.as_index()],
             self.downlink_free[node.as_index()],
         )
-    }
-
-    /// How far into the (virtual) future `node`'s compute queue is already
-    /// committed — the CPU analogue of [`Self::link_horizons`]. With multiple
-    /// worker lanes this is the **earliest-free lane's** horizon (the next
-    /// instant the node can start new modeled work); with one lane it is the old
-    /// sequential `cpu_free` scalar.
-    pub fn compute_horizon(&self, node: NodeId) -> SimTime {
-        self.compute.horizon(node.as_index())
     }
 
     fn push_event(&mut self, at: SimTime, kind: EventKind) {
@@ -688,19 +675,8 @@ impl<P: Protocol> Simulation<P> {
     /// simulation.
     pub fn run_until(&mut self, deadline: SimTime, max_events: u64) {
         self.ensure_started();
-        let processed = self.run_sequential(deadline, max_events);
-        self.events += processed;
-        EVENTS_PROCESSED.fetch_add(processed, Ordering::Relaxed);
-        // Advance the clock to the deadline if we stopped because the queue ran dry or
-        // only future events remain; throughput is measured against wall-clock windows.
-        if self.queue.peek_key().map_or(true, |(at, _)| at > deadline) {
-            self.now = self.now.max(deadline);
-        }
-    }
-
-    /// The sequential engine: classic merge pops in exact `(time, seq)` order (see
-    /// [`crate::shard::ShardedQueue::pop_min`]).
-    fn run_sequential(&mut self, deadline: SimTime, max_events: u64) -> u64 {
+        // Classic merge pops in exact `(time, seq)` order (see
+        // [`crate::shard::ShardedQueue::pop_min`]).
         let mut processed = 0u64;
         while processed < max_events {
             let Some(event) = self.queue.pop_min(deadline) else {
@@ -710,7 +686,13 @@ impl<P: Protocol> Simulation<P> {
             self.dispatch(event.kind);
             processed += 1;
         }
-        processed
+        self.events += processed;
+        EVENTS_PROCESSED.fetch_add(processed, Ordering::Relaxed);
+        // Advance the clock to the deadline if we stopped because the queue ran dry or
+        // only future events remain; throughput is measured against wall-clock windows.
+        if self.queue.peek_key().map_or(true, |(at, _)| at > deadline) {
+            self.now = self.now.max(deadline);
+        }
     }
 
     /// Snapshots every node's [`Protocol::progress_probe`] at the current time.
