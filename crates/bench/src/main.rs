@@ -17,8 +17,8 @@
 //! guard that keeps the "Leopard confirms nothing at paper scale" collapse from
 //! silently regressing (used with the `fig9smoke` experiment).
 //!
-//! `--schedules <N>`, `--chaos-seed <S>` and `--chaos-case <K>` tune the `chaos` /
-//! `chaossmoke` experiments: schedule count and master seed of the fuzzed stream, or a
+//! `--schedules <N>`, `--chaos-seed <S>` and `--chaos-case <K>` tune the `chaos`
+//! experiment: schedule count and master seed of the fuzzed stream, or a
 //! single case index — the one-line reproducer the chaos engine prints on a violation
 //! (`chaos --chaos-seed S --chaos-case K`) uses the last two.
 //!

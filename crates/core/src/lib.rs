@@ -18,8 +18,7 @@
 //! ([`view_change`]) replaces faulty leaders.
 //!
 //! The replica is a sans-IO state machine ([`replica::LeopardReplica`]) implementing
-//! [`leopard_simnet::Protocol`], so it runs both under the bandwidth-accurate simulator
-//! and under the thread-based real-time runtime.
+//! [`leopard_simnet::Protocol`]; the bandwidth-accurate simulator drives it.
 //!
 //! ```
 //! use leopard_core::{config::LeopardConfig, replica::LeopardReplica};

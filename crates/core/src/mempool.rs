@@ -59,13 +59,6 @@ impl Mempool {
         }
     }
 
-    /// Injects an externally supplied request (used by tests and the real-time examples
-    /// that drive the mempool with inline payloads).
-    pub fn submit(&mut self, request: Request, now: SimTime) {
-        self.outstanding.insert(request.id, now);
-        self.queue.push_back(request);
-    }
-
     /// Extracts up to `max` requests for a new datablock.
     pub fn take_batch(&mut self, max: usize) -> Vec<Request> {
         let take = max.min(self.queue.len());
@@ -128,14 +121,5 @@ mod tests {
         // Requests from other clients are not ours.
         let foreign = RequestId::new(ClientId(9), 0);
         assert_eq!(pool.acknowledge(&foreign, SimTime(9_000)), None);
-    }
-
-    #[test]
-    fn submit_external_request() {
-        let mut pool = Mempool::new(ClientId(1), 128);
-        let request = Request::new_inline(ClientId(7), 3, b"external".to_vec());
-        pool.submit(request.clone(), SimTime(10));
-        assert_eq!(pool.len(), 1);
-        assert_eq!(pool.acknowledge(&request.id, SimTime(30)), Some(20));
     }
 }

@@ -439,7 +439,7 @@ pub struct ChaosOptions {
 }
 
 impl ChaosOptions {
-    /// The CI `chaossmoke` profile: 25 schedules at n = 16.
+    /// The quick profile (the CI `chaos` step): 25 schedules at n = 16.
     pub fn quick() -> Self {
         Self {
             schedules: 25,

@@ -348,14 +348,15 @@ fn fig9xl_row(n: usize) -> Vec<String> {
 
 /// Fig. 9 XL — the fig9 sweep continued past the paper's n = 600 ceiling, with the
 /// simulator's own speed (events/sec, peak RSS) reported alongside the protocol
-/// figures. The quick profile covers {600, 1000}; the full profile adds {2000, 4000}
+/// figures. The quick profile covers {600}; the full profile adds {1000, 2000, 4000}.
+/// The n = 1000 row alone is `fig9xlsmoke`, so the no-id quick suite runs it once
 /// (see `EXPERIMENTS.md` for the scale-selection notes).
 pub fn fig9xl_scaling(quick: bool) -> Table {
     let mut table = Table::new(
         "Fig. 9 XL — Leopard at n ≥ 600 with engine events/sec and peak RSS",
         FIG9XL_HEADERS,
     );
-    for n in scales(quick, &[600, 1000], &[600, 1000, 2000, 4000]) {
+    for n in scales(quick, &[600], &[600, 1000, 2000, 4000]) {
         table.push_row(fig9xl_row(n));
     }
     table
@@ -833,18 +834,6 @@ fn fault_handling_kb(report: &ScenarioReport, n: usize) -> f64 {
     bytes as f64 / 1024.0
 }
 
-/// The Fig. 13 recovery-matrix column set, shared with the `fig13smoke` CI point.
-const FIG13_HEADERS: &[&str] = &[
-    "scenario",
-    "n",
-    "full (Kreqs/s)",
-    "post-recovery (Kreqs/s)",
-    "recovery (s)",
-    "extra comm (KB)",
-    "views",
-    "violations",
-];
-
 /// The adversarial & recovery scenario matrix behind [`fig13_recovery`]: each entry is
 /// a named scenario exercising one failure mode of §VI-D, with the warm-up window set
 /// past the expected recovery instant so the steady-state column reads *post-recovery*
@@ -993,23 +982,18 @@ fn fig13_row(name: &str, config: &ScenarioConfig) -> Vec<String> {
 pub fn fig13_recovery(quick: bool) -> Table {
     let mut table = Table::new(
         "Fig. 13 (recovery) — adversarial & recovery scenario matrix",
-        FIG13_HEADERS,
+        &[
+            "scenario",
+            "n",
+            "full (Kreqs/s)",
+            "post-recovery (Kreqs/s)",
+            "recovery (s)",
+            "extra comm (KB)",
+            "views",
+            "violations",
+        ],
     );
     for (name, config) in fig13_matrix(quick) {
-        table.push_row(fig13_row(name, &config));
-    }
-    table
-}
-
-/// Fig. 13 smoke — the recovery matrix at its reduced (quick) scales regardless of the
-/// `--full` flag, for the CI step that guards post-recovery throughput: every scenario
-/// must end with non-zero post-recovery throughput and zero invariant violations.
-pub fn fig13_smoke(_quick: bool) -> Table {
-    let mut table = Table::new(
-        "Fig. 13 smoke — every recovery scenario must recover (reduced scales)",
-        FIG13_HEADERS,
-    );
-    for (name, config) in fig13_matrix(true) {
         table.push_row(fig13_row(name, &config));
     }
     table
@@ -1045,7 +1029,7 @@ pub fn fig13_view_change(quick: bool) -> Table {
 pub const EXPERIMENT_IDS: &[&str] = &[
     "fig1", "fig2", "tab1", "fig6", "fig7", "fig8", "tab2", "fig9", "fig9smoke", "fig9xl",
     "fig9xlsmoke", "fig9cpu", "fig9mp", "fig9mpsmoke", "fig9geo", "fig10", "tab3", "tab4",
-    "fig11", "fig12", "fig13", "fig13smoke", "fig13vc", "chaos", "chaossmoke",
+    "fig11", "fig12", "fig13", "fig13vc", "chaos",
 ];
 
 /// Dispatches an experiment by id. Returns `None` for an unknown id.
@@ -1055,15 +1039,13 @@ pub fn run_experiment(id: &str, quick: bool) -> Option<Table> {
 
 /// [`run_experiment`] with CLI overrides for the chaos experiments: `chaos` follows
 /// the quick/full profile split (25 schedules at n = 16 vs 200 at n ∈ {16, 32, 64}),
-/// `chaossmoke` always runs the quick profile, and `--schedules` / `--chaos-seed` /
-/// `--chaos-case` apply on top of either.
+/// and `--schedules` / `--chaos-seed` / `--chaos-case` apply on top of either.
 pub fn run_experiment_with(id: &str, quick: bool, chaos: &ChaosOverrides) -> Option<Table> {
     let table = match id {
         "chaos" => {
             let profile = if quick { ChaosOptions::quick() } else { ChaosOptions::full() };
             chaos_experiment(&chaos.apply(profile))
         }
-        "chaossmoke" => chaos_experiment(&chaos.apply(ChaosOptions::quick())),
         "fig1" => fig1_prior_scalability(quick),
         "fig2" => fig2_leader_bottleneck(quick),
         "tab1" => tab1_cost_model(),
@@ -1085,7 +1067,6 @@ pub fn run_experiment_with(id: &str, quick: bool, chaos: &ChaosOverrides) -> Opt
         "fig11" => fig11_leader_bandwidth(quick),
         "fig12" => fig12_retrieval(quick),
         "fig13" => fig13_recovery(quick),
-        "fig13smoke" => fig13_smoke(quick),
         "fig13vc" => fig13_view_change(quick),
         _ => return None,
     };

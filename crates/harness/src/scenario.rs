@@ -784,7 +784,6 @@ impl ScenarioReport {
         // log order, so each float sum is the one a pass of its own would give.
         let topology = config.topology.as_ref();
         let region_count = topology.map_or(0, Topology::region_count);
-        let mut per_node_confirmed = vec![0u64; config.n];
         let mut region_latency_sum = vec![0f64; region_count];
         let mut region_latency_count = vec![0u64; region_count];
         let mut view_changes = 0u64;
@@ -814,11 +813,6 @@ impl ScenarioReport {
                     retrieval_times.push(nanos as f64 / 1e9);
                     retrieval_bytes.push(received_bytes as f64);
                 }
-                ObservationKind::RequestsConfirmed { count, .. } => {
-                    if let Some(slot) = per_node_confirmed.get_mut(observation.node.as_index()) {
-                        *slot += count;
-                    }
-                }
                 ObservationKind::RequestLatency { nanos } => {
                     if let Some(topology) = topology {
                         let region = topology.region_of(observation.node.as_index());
@@ -842,8 +836,9 @@ impl ScenarioReport {
         if let Some(topology) = topology {
             let mut max_confirmed = vec![0u64; region_count];
             let mut nodes_per_region = vec![0usize; region_count];
-            for (node, &confirmed) in per_node_confirmed.iter().enumerate() {
+            for node in 0..config.n {
                 let region = topology.region_of(node);
+                let confirmed = sim.metrics.confirmed_requests_at(NodeId(node as u32));
                 max_confirmed[region] = max_confirmed[region].max(confirmed);
                 nodes_per_region[region] += 1;
             }

@@ -248,9 +248,9 @@ impl<M: SimMessage> Context for SimContext<'_, M> {
     }
 
     fn broadcast(&mut self, message: M) {
-        // Fast path: one envelope for the whole fan-out *and* the self-delivery — the
-        // default `multicast(m.clone()) + send(self, m)` implementation would clone the
-        // message once more just to hand it back to the sender.
+        // Fast path: one envelope for the whole fan-out *and* the self-delivery — a
+        // `multicast(m.clone()) + send(self, m)` pair would clone the message once
+        // more just to hand it back to the sender.
         self.actions.sends.push(Outgoing::Multicast {
             message,
             include_self: true,
@@ -880,8 +880,8 @@ impl<P: Protocol> Simulation<P> {
                     // order, same RNG draws, same event sequence numbers). The whole
                     // fan-out shares one interned table slot; copies dropped at route
                     // time simply never take a reference to it. A broadcast's local
-                    // self-delivery is routed last, in the order of the default
-                    // `multicast` + `send(self)` pair, so both assign the same seqs.
+                    // self-delivery is routed last, in the order of a `multicast` +
+                    // `send(self)` pair, so both assign the same seqs.
                     let size = message.wire_size();
                     let category = message.category();
                     let uplink_tx = self.uplink_transmission(node, size);
@@ -1019,6 +1019,82 @@ mod tests {
             .sum();
         assert_eq!(total_messages, 5);
         assert_eq!(report.metrics.custom_samples("pingpong_done"), vec![4]);
+    }
+
+    /// The `Context` contract for fan-outs: a `multicast` is charged and delivered
+    /// exactly like `send` to every peer in id order, and a `broadcast` adds the free
+    /// self-delivery last. Node 3 is crashed from the start, so copies to it take the
+    /// route-time drop path.
+    #[test]
+    fn fanouts_are_charged_and_delivered_as_unicasts_in_peer_order() {
+        struct Fanout {
+            include_self: bool,
+            use_fanout: bool,
+        }
+        impl Protocol for Fanout {
+            type Message = PingMessage;
+            fn on_start(&mut self, ctx: &mut dyn Context<Message = PingMessage>) {
+                if ctx.node_id() != NodeId(0) {
+                    return;
+                }
+                for (hops, payload) in [(0, 100), (1, 20_000), (2, 3_000)] {
+                    let ping = PingMessage::Ping { hops, payload };
+                    match (self.use_fanout, self.include_self) {
+                        (true, false) => ctx.multicast(ping),
+                        (true, true) => ctx.broadcast(ping),
+                        (false, include_self) => {
+                            for index in 1..ctx.node_count() {
+                                ctx.send(NodeId(index as u32), ping.clone());
+                            }
+                            if include_self {
+                                ctx.send(NodeId(0), ping);
+                            }
+                        }
+                    }
+                }
+            }
+            fn on_message(
+                &mut self,
+                from: NodeId,
+                message: PingMessage,
+                ctx: &mut dyn Context<Message = PingMessage>,
+            ) {
+                if let PingMessage::Ping { hops, .. } = message {
+                    ctx.observe(ObservationKind::Custom {
+                        label: "from_hops",
+                        value: u64::from(from.0) << 32 | u64::from(hops),
+                    });
+                    ctx.observe(ObservationKind::Custom {
+                        label: "now",
+                        value: ctx.now().as_nanos(),
+                    });
+                }
+            }
+            fn on_timer(&mut self, _token: u64, _ctx: &mut dyn Context<Message = PingMessage>) {}
+        }
+
+        type Sent = Vec<(NodeId, &'static str, u64, u64)>;
+        let run = |include_self: bool, use_fanout: bool| {
+            let config = NetworkConfig::datacenter(7).with_seed(11);
+            let faults = FaultPlan::none().with_crash(NodeId(3), SimTime::ZERO);
+            let sim = Simulation::new(config, faults, |_| Fanout {
+                include_self,
+                use_fanout,
+            });
+            let report = sim.run_to_report(SimTime(SimDuration::from_secs(1).as_nanos()), 10_000);
+            let sent: Sent = report.metrics.traffic.iter_sent().collect();
+            let received: Sent = report.metrics.traffic.iter_received().collect();
+            (report.events, report.metrics.observations, sent, received)
+        };
+        for include_self in [false, true] {
+            let fanned = run(include_self, true);
+            let unicast = run(include_self, false);
+            // Five live peers (node 3 is down) each see all three pings, plus node 0's
+            // own three under a broadcast.
+            let deliveries = if include_self { 18 } else { 15 };
+            assert_eq!(fanned.1.len(), 2 * deliveries, "include_self = {include_self}");
+            assert_eq!(fanned, unicast, "include_self = {include_self}");
+        }
     }
 
     #[test]

@@ -2,9 +2,11 @@
 //! accounting.
 //!
 //! The simulator charges every message its wire size against the sender's uplink and the
-//! receiver's downlink; the thread-based runtime actually serialises messages through
-//! this codec. Keeping both paths on the same encoding guarantees that the simulated
-//! bandwidth numbers describe real bytes.
+//! receiver's downlink without encoding it. The codec feeds the digests
+//! (`Datablock::digest`, `BftBlock::digest` and `Request::digest` hash the encoded
+//! bytes) and the retrieval plane's erasure coding. For inline payloads, tests pin
+//! `WireSize` to the encoded length, so the simulated bandwidth numbers describe the
+//! bytes this encoding produces.
 //!
 //! The encoding is deliberately simple: fixed-width little-endian integers, length-
 //! prefixed byte strings, no varints, no schema evolution. It is not a public
